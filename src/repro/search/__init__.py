@@ -1,33 +1,23 @@
 """Searching-based DSE baseline (the paper's DAT [15] stand-in).
 
 Exhaustive and genetic optimizers over the same tiling/scheduling space and
-cost model as the principle engine, for intra-operator and fused dataflows.
-Used to validate principle optimality (Fig. 9) and to quantify the
+cost model as the principle engine (Fig. 9), an exhaustive fused-space
+search, and branch-and-bound searches that prove the global optimum for a
+single operator or a fused pair (the referee the ``verify`` paranoid probe
+uses).  Used to validate principle optimality and to quantify the
 evaluation-count gap between one-shot principles and black-box search.
 """
 
 from .space import SearchResult, power_of_two_tiles, space_size, tile_grid
 from .exhaustive import exhaustive_search
 from .genetic import GAResult, GASettings, GeneticOptimizer, genetic_search
-from .annealing import AnnealingResult, AnnealingSettings, annealing_search
 from .branch_bound import FusedBBResult, branch_and_bound_fused_search, branch_and_bound_search
-from .fusion_search import (
-    FusedSearchResult,
-    SearchedFusionDecision,
-    exhaustive_fused_search,
-    genetic_fused_search,
-    searched_fusion_decision,
-)
+from .fusion_search import FusedSearchResult, exhaustive_fused_search
 
 __all__ = [
-    "SearchedFusionDecision",
-    "searched_fusion_decision",
     "FusedBBResult",
     "branch_and_bound_fused_search",
     "branch_and_bound_search",
-    "AnnealingResult",
-    "AnnealingSettings",
-    "annealing_search",
     "SearchResult",
     "power_of_two_tiles",
     "space_size",
@@ -39,5 +29,4 @@ __all__ = [
     "genetic_search",
     "FusedSearchResult",
     "exhaustive_fused_search",
-    "genetic_fused_search",
 ]

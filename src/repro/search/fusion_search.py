@@ -1,17 +1,16 @@
 """Searching-based inter-operator (fused) dataflow optimization.
 
-The inter-operator analogue of :mod:`repro.search.exhaustive` /
-:mod:`repro.search.genetic`: enumerate (or evolve) global tile vectors for a
-fused chain and keep the best *fusable* dataflow -- the paper's DAT baseline
-applied to fusion.  The fused space is much larger than the intra space
-(tiles over the union of both operators' dims), which is the paper's point
-about search time exploding when fusion enters the picture.
+The inter-operator analogue of :mod:`repro.search.exhaustive`: enumerate
+global tile vectors for a fused chain and keep the best *fusable* dataflow
+-- the paper's DAT baseline applied to fusion.  The fused space is much
+larger than the intra space (tiles over the union of both operators' dims),
+which is the paper's point about search time exploding when fusion enters
+the picture.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -23,7 +22,6 @@ from ..dataflow.fusion_nest import (
     fused_memory_access,
 )
 from ..dataflow.tiling import Tiling
-from ..service.intra_cache import cached_optimize_intra
 from .space import power_of_two_tiles
 
 
@@ -104,183 +102,3 @@ def exhaustive_fused_search(
         label="exhaustive-fused",
     )
 
-
-def genetic_fused_search(
-    ops: Sequence[TensorOperator],
-    buffer_elems: int,
-    population: int = 64,
-    generations: int = 60,
-    mutation_rate: float = 0.35,
-    seed: int = 2025,
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-) -> Optional[FusedSearchResult]:
-    """GA over fused tile vectors (deterministic for a fixed seed)."""
-    chain = FusedChain.from_ops(ops)
-    shared_order, private_orders = _default_structure(chain)
-    dims = tuple(chain.global_dims)
-    extents = tuple(chain.global_dims[dim] for dim in dims)
-    rng = random.Random(seed)
-    evaluations = 0
-
-    def random_tile(extent: int) -> int:
-        import math
-
-        if extent == 1:
-            return 1
-        return max(1, min(extent, round(2 ** rng.uniform(0.0, math.log2(extent)))))
-
-    def build(tiles: Tuple[int, ...]) -> FusedDataflow:
-        return FusedDataflow(
-            shared_order=shared_order,
-            private_orders=private_orders,
-            tiling=Tiling(dict(zip(dims, tiles))),
-        )
-
-    def fitness(tiles: Tuple[int, ...]) -> float:
-        nonlocal evaluations
-        dataflow = build(tiles)
-        footprint = dataflow.buffer_footprint(chain)
-        evaluations += 1
-        report = fused_memory_access(chain, dataflow, convention)
-        penalty = 0.0
-        if footprint > buffer_elems:
-            penalty += report.total * (footprint / buffer_elems)
-            penalty += chain.ideal_memory_access()
-        if not report.fusable:
-            penalty += chain.ideal_memory_access() * 10
-        return report.total + penalty
-
-    def feasible(tiles: Tuple[int, ...]) -> bool:
-        dataflow = build(tiles)
-        if dataflow.buffer_footprint(chain) > buffer_elems:
-            return False
-        return fused_memory_access(chain, dataflow, convention).fusable
-
-    def mutate(tiles: Tuple[int, ...]) -> Tuple[int, ...]:
-        mutated = list(tiles)
-        for index, extent in enumerate(extents):
-            if rng.random() < mutation_rate:
-                choice = rng.random()
-                if choice < 0.25:
-                    mutated[index] = extent
-                elif choice < 0.5:
-                    mutated[index] = 1
-                else:
-                    factor = 2 ** rng.randint(-2, 2)
-                    mutated[index] = max(1, min(extent, int(mutated[index] * factor)))
-        return tuple(mutated)
-
-    population_tiles = [
-        tuple(random_tile(extent) for extent in extents) for _ in range(population)
-    ]
-    best: Optional[Tuple[float, Tuple[int, ...]]] = None
-    for _ in range(generations):
-        scored = sorted(
-            ((fitness(tiles), tiles) for tiles in population_tiles),
-            key=lambda item: item[0],
-        )
-        for score, tiles in scored:
-            if feasible(tiles) and (best is None or score < best[0]):
-                best = (score, tiles)
-            break
-        elite = [tiles for _, tiles in scored[:2]]
-        offspring = list(elite)
-        while len(offspring) < population:
-            contenders = rng.sample(scored, k=min(3, len(scored)))
-            parent = min(contenders, key=lambda item: item[0])[1]
-            partner = min(
-                rng.sample(scored, k=min(3, len(scored))), key=lambda item: item[0]
-            )[1]
-            child = tuple(
-                parent[i] if rng.random() < 0.5 else partner[i]
-                for i in range(len(dims))
-            )
-            offspring.append(mutate(child))
-        population_tiles = offspring
-    if best is None:
-        return None
-    dataflow = build(best[1])
-    total = fused_memory_access(chain, dataflow, convention).total
-    return FusedSearchResult(
-        chain=chain,
-        dataflow=dataflow,
-        memory_access=total,
-        evaluations=evaluations,
-        label="genetic-fused",
-    )
-
-
-# ----------------------------------------------------------------------
-# Searched fusion decision (DSE analogue of core.decide_fusion)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SearchedFusionDecision:
-    """Searched fused optimum vs. the chain's unfused optima.
-
-    The unfused reference comes from the process-wide intra-operator cache
-    (:mod:`repro.service.intra_cache`): a DSE study asking about many fused
-    chains over the same operator shapes computes each (dims, buffer)
-    intra optimum exactly once.
-    """
-
-    ops: Tuple[TensorOperator, ...]
-    fused: Optional[FusedSearchResult]
-    unfused_memory_access: int
-    label: str
-
-    @property
-    def fused_memory_access(self) -> Optional[int]:
-        return None if self.fused is None else self.fused.memory_access
-
-    @property
-    def profitable(self) -> bool:
-        return (
-            self.fused is not None
-            and self.fused.memory_access < self.unfused_memory_access
-        )
-
-    @property
-    def saving(self) -> float:
-        if not self.profitable:
-            return 0.0
-        assert self.fused is not None
-        return 1.0 - self.fused.memory_access / self.unfused_memory_access
-
-    def describe(self) -> str:
-        names = "+".join(op.name for op in self.ops)
-        return (
-            f"{self.label}[{names}]: unfused MA={self.unfused_memory_access}, "
-            f"fused MA={self.fused_memory_access}, profitable={self.profitable}"
-        )
-
-
-def searched_fusion_decision(
-    ops: Sequence[TensorOperator],
-    buffer_elems: int,
-    method: str = "genetic",
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    **search_kwargs,
-) -> SearchedFusionDecision:
-    """Search the fused space and compare against cached unfused optima."""
-    if method == "genetic":
-        fused = genetic_fused_search(
-            ops, buffer_elems, convention=convention, **search_kwargs
-        )
-    elif method == "exhaustive":
-        fused = exhaustive_fused_search(
-            ops, buffer_elems, convention=convention, **search_kwargs
-        )
-    else:
-        raise ValueError(
-            f"unknown search method {method!r}; choose genetic or exhaustive"
-        )
-    unfused = sum(
-        cached_optimize_intra(op, buffer_elems, convention).memory_access
-        for op in ops
-    )
-    return SearchedFusionDecision(
-        ops=tuple(ops),
-        fused=fused,
-        unfused_memory_access=unfused,
-        label=f"searched-{method}",
-    )

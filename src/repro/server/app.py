@@ -85,6 +85,8 @@ def parse_analyze_payloads(
             decoded = json.loads(stripped)
         except ValueError:
             ndjson = True  # multi-line body: fall through to JSON-lines
+        except RecursionError:
+            raise BadRequestError("body is nested too deeply") from None
         else:
             if isinstance(decoded, list):
                 return list(decoded), False
@@ -105,7 +107,7 @@ def parse_analyze_payloads(
             continue
         try:
             payloads.append(json.loads(line))
-        except ValueError:
+        except (ValueError, RecursionError):
             payloads.append(line)  # engine records the structured error
     if not payloads:
         raise BadRequestError("empty request body")

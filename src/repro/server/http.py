@@ -110,6 +110,9 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{PACKAGE_VERSION}"
+    # _write sends the headers and the body as two segments; with Nagle on,
+    # the body waits for the client's delayed ACK (~40 ms per keep-alive hit).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server naming

@@ -156,12 +156,9 @@ class EngineConfig:
     executor: str = "thread"
     #: Total attempts per request (1 = no retries of transient failures).
     max_attempts: int = 1
-    #: First backoff delay in seconds (0 = immediate retries).
+    #: First backoff delay in seconds (0 = immediate retries); the cap and
+    #: jitter are :class:`RetryPolicy`'s defaults.
     retry_base_delay: float = 0.0
-    #: Backoff cap in seconds.
-    retry_max_delay: float = 2.0
-    #: Deterministic jitter fraction on top of exponential backoff.
-    retry_jitter: float = 0.5
     #: Per-request deadline in seconds (None = unlimited).
     deadline_seconds: Optional[float] = None
     #: Consecutive permanent failures per kind before the circuit opens
@@ -218,8 +215,6 @@ class EngineConfig:
         return RetryPolicy(
             max_attempts=self.max_attempts,
             base_delay=self.retry_base_delay,
-            max_delay=self.retry_max_delay,
-            jitter=self.retry_jitter,
         )
 
 

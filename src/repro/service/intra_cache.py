@@ -1,11 +1,11 @@
 """Process-wide memoization of intra-operator optimization.
 
-Sweeps, DSE baselines, and the graph planner all re-derive the same
-intra-operator optimum for identical (dims, buffer) tuples -- a genetic
-fused search comparing against unfused optima, a figure harness sweeping
-buffer sizes, and a bisection over the MA(BS) curve can each ask for
-``optimize_intra`` on the same operator shape thousands of times.  This
-module holds one shared bounded LRU over those results.
+Sweeps and the graph planner re-derive the same intra-operator optimum
+for identical (dims, buffer) tuples -- a figure harness sweeping buffer
+sizes, the chain planner costing single-operator segments, and a bisection
+over the MA(BS) curve can each ask for ``optimize_intra`` on the same
+operator shape thousands of times.  This module holds one shared bounded
+LRU over those results.
 
 Keys are *structural*: the operator's dims, indexing pattern, dtypes and
 repetition count -- not its name -- so ``mm1`` and ``proj_q`` with the same

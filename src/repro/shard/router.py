@@ -1052,7 +1052,9 @@ class ShardedApp:
             target = payload["shards"]
             if isinstance(target, bool) or not isinstance(target, int):
                 raise TypeError("shards must be an integer")
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+        except (
+            KeyError, TypeError, ValueError, UnicodeDecodeError, RecursionError
+        ) as exc:
             self.serving.increment("bad_requests")
             return HttpResponse.error(
                 400,

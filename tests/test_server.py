@@ -10,7 +10,9 @@ the wire, not against mocks.
 from __future__ import annotations
 
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -143,16 +145,37 @@ class TestObservability:
         assert wrong_method.value.status == 405
 
     def test_bad_body_is_400(self):
+        # b"[" * 50000 nests past the JSON decoder's recursion limit.
         with make_server() as server, make_client(server) as client:
-            with pytest.raises(ServerError) as excinfo:
-                client._request(
-                    "POST",
-                    "/v1/analyze",
-                    body=b"",
-                    headers={"Content-Type": "application/json"},
-                    retry=False,
-                )
-        assert excinfo.value.status == 400
+            for body in (b"", b"[" * 50000):
+                with pytest.raises(ServerError) as excinfo:
+                    client._request(
+                        "POST",
+                        "/v1/analyze",
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                        retry=False,
+                    )
+                assert excinfo.value.status == 400, body[:8]
+
+    def test_deeply_nested_json_line_is_a_per_line_error(self):
+        payloads = [REQUESTS[0], "[" * 50000]
+        with make_server() as server, make_client(server) as client:
+            lines = client.batch_lines(payloads)
+        assert "\n".join(lines) == direct_jsonl(payloads)
+        assert json.loads(lines[1])["ok"] is False
+
+    def test_back_to_back_hits_on_one_connection_are_fast(self):
+        """The handler writes headers and body as two segments; with Nagle
+        on, each keep-alive response waited ~40 ms for a delayed ACK."""
+        with make_server() as server, make_client(server) as client:
+            client.analyze(REQUESTS[0])  # warm the result cache
+            samples = []
+            for _ in range(30):
+                start = time.perf_counter()
+                client.analyze(REQUESTS[0])
+                samples.append(time.perf_counter() - start)
+        assert statistics.median(samples) < 0.020
 
 
 # ----------------------------------------------------------------------

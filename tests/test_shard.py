@@ -140,10 +140,12 @@ class TestByteIdentity:
     def test_bad_body_is_a_400_not_a_dispatch(self, tmp_path):
         app = make_app(tmp_path, 2)
         try:
-            response = app.handle(
-                "POST", "/v1/analyze", {}, {}, b"", "test-client"
-            )
-            assert response.status == 400
+            # b"[" * 50000 nests past the JSON decoder's recursion limit.
+            for body in (b"", b"[" * 50000):
+                response = app.handle(
+                    "POST", "/v1/analyze", {}, {}, body, "test-client"
+                )
+                assert response.status == 400, body[:8]
         finally:
             app.close()
 
@@ -677,7 +679,7 @@ class TestResharding:
         try:
             assert post_batch(app, RESHARD_REQUESTS).status == 200
             for body in (b"not json", b'{"shards": 0}', b'{"shards": true}',
-                         b'{"shards": "three"}', b"{}"):
+                         b'{"shards": "three"}', b"{}", b"[" * 50000):
                 response = app.handle(
                     "POST", "/admin/reshard", {}, {}, body, "c"
                 )

@@ -232,6 +232,8 @@ class TestCorruptionAndHealing:
             == certified.result.memory_access
         )
         assert discrepancy.improvement > 0
+        # Exactly one report reached the registry: the healed pair.
+        assert len(drain_discrepancies()) == 1
         # The healed answer is exactly the full cross-pattern optimum.
         full = optimize_fused(ops, COUNTER["budget"], include_cross=True)
         assert certified.result.memory_access == full.memory_access
